@@ -2,11 +2,13 @@
 """Run the benchmark several times, one seed per run, and keep every result.
 
     python3 perfbench/collect.py --workload codec_sweep --runs 10 \
-        --out set-a.jsonl [--seconds 15] [--first-seed 1] [--trace 0]
+        --out set-a.jsonl [--trace 0]
 
-Run from the repository root. Each run's result line, seed, steal share,
-host calibration figure and wall time are appended to the output as one
-JSON object per line; the file is what `compare.py` reads. At the end the
+Run from the repository root. Runs use seeds 1..runs and the run length
+`run_seconds` from BENCHMARK.json, so two sets always compare like with
+like. Each run's result line, seed, run length, steal share, host
+calibration figure and wall time are appended to the output as one JSON
+object per line; the file is what `compare.py` reads. At the end the
 median and quartile spread of every metric are printed.
 """
 
@@ -53,6 +55,7 @@ def run_once(spec, workload, seed, seconds, trace):
     return {
         "workload": workload,
         "seed": seed,
+        "seconds": seconds,
         "trace": trace,
         "wall_s": wall,
         "steal_share": run.get("steal_share"),
@@ -71,17 +74,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=None)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     spec = bench_spec()
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     records = []
     with open(args.out, "a") as out:
-        for i in range(args.runs):
-            rec = run_once(spec, args.workload, args.first_seed + i, seconds, args.trace)
+        for seed in range(1, args.runs + 1):
+            rec = run_once(spec, args.workload, seed, seconds, args.trace)
             out.write(json.dumps(rec) + "\n")
             out.flush()
             records.append(rec)

@@ -9,8 +9,8 @@ NEW over BASE (runs paired by seed, else in order). A gain is called only
 when NEW wins at least 9 of 10 pairs and the medians differ by more than
 BASE's quartile distance. An end-to-end metric whose NEW median is worse
 than BASE's by more than its bound in BENCHMARK.json is flagged as a
-regression, as is a quartile spread wider than the bound (set-up time
-excepted) and a different share of failed operations. Each set's
+regression, as are a quartile spread wider than the bound, a different
+share of failed operations and sets taken at different run lengths. Each set's
 median steal share and host calibration figure (ns per element of a fixed
 loop; higher means a slower host at the time) are printed so that a noisy
 set can be told from a regression.
@@ -73,6 +73,9 @@ def main():
         print(f"\n== {workload}: {len(b)} vs {len(n)} runs; "
               f"median steal share {steal_b:.3f} vs {steal_n:.3f}; "
               f"median host calibration {cal_b:.4f} vs {cal_n:.4f} ns")
+        lengths = {r["seconds"] for r in b + n}
+        if len(lengths) != 1:
+            flags.append(f"{workload}: runs of different lengths {sorted(lengths)} s")
         fb, fn = failed_share(b), failed_share(n)
         if fb != fn:
             flags.append(f"{workload}: failed share {fb} vs {fn}")
@@ -104,7 +107,7 @@ def main():
                     flags.append(f"{workload} {name}: {verdict}")
             sb = iqr_b / qb[1] if qb[1] else 0.0
             sn = (qn[2] - qn[0]) / qn[1] if qn[1] else 0.0
-            if bound is not None and name != "setup_s" and max(sb, sn) > bound:
+            if bound is not None and max(sb, sn) > bound:
                 verdict += f" SPREAD > {bound:.0%}"
                 flags.append(f"{workload} {name}: quartile spread above its bound")
             fmt = lambda q: f"{q[0]:.5g}/{q[1]:.5g}/{q[2]:.5g}"

@@ -198,7 +198,13 @@ pub fn check_params_equal(what: &str, a: &[Vec<f32>], b: &[Vec<f32>]) -> Result<
 
 /// Equality of two report-digest tables (a timed round or the 2-thread
 /// sweep against the points run one at a time).
-pub fn check_digests(got: &[u64], reference: &[u64]) -> Result<(), String> {
+/// A failed point (`None`) never matches.
+pub fn check_digests(got: &[Option<u64>], reference: &[Option<u64>]) -> Result<(), String> {
+    if got.contains(&None) || reference.contains(&None) {
+        return Err(format!(
+            "a point failed: digests {got:x?}, reference {reference:x?}"
+        ));
+    }
     if got != reference {
         return Err(format!(
             "digests {got:x?} differ from the reference {reference:x?}"
@@ -329,8 +335,9 @@ mod tests {
         let a = vec![vec![1.0f32, 2.0]];
         assert!(check_params_equal("x", &a, &a).is_ok());
         assert!(check_params_equal("x", &a, &[vec![1.0, 2.0000002]]).is_err());
-        assert!(check_digests(&[1, 2], &[1, 2]).is_ok());
-        assert!(check_digests(&[1, 2], &[2, 1]).is_err());
+        assert!(check_digests(&[Some(1), Some(2)], &[Some(1), Some(2)]).is_ok());
+        assert!(check_digests(&[Some(1), Some(2)], &[Some(2), Some(1)]).is_err());
+        assert!(check_digests(&[None], &[None]).is_err());
     }
 
     #[test]

@@ -83,9 +83,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     }
     Ok(Args {
         kind: kind.ok_or("--workload is required")?,
-        seed: seed.unwrap_or(1),
-        seconds: seconds.unwrap_or(10),
-        trace: trace.unwrap_or(false),
+        seed: seed.ok_or("--seed is required")?,
+        seconds: seconds.ok_or("--seconds is required")?,
+        trace: trace.ok_or("--trace is required")?,
     })
 }
 
@@ -97,6 +97,22 @@ struct Outcome {
     attempted: u64,
     failed: u64,
     metrics: Metrics,
+}
+
+impl Outcome {
+    /// Counts one operation; a failed one is also counted as failed and
+    /// its error kept.
+    fn op<T, E: std::fmt::Display>(&mut self, what: &str, res: Result<T, E>) -> Option<T> {
+        self.attempted += 1;
+        match res {
+            Ok(v) => Some(v),
+            Err(e) => {
+                self.failed += 1;
+                self.errors.push(format!("{what}: {e}"));
+                None
+            }
+        }
+    }
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -141,9 +157,22 @@ fn untraced(args: &Args) -> Outcome {
     // every protocol event in memory.
     let peak_rss_mb = host::peak_rss_mb();
     let reference = workloads::reference(&inputs, inputs.model.as_ref(), &mut errors);
+    // A point fails where its run or checks did, in its round or in the
+    // reference, or where its digest differs from the reference's.
+    let mut failed = reference.digests.iter().filter(|d| d.is_none()).count() as u64;
     for r in std::iter::once(&warm_up).chain(&rounds) {
-        if let Err(e) = checks::check_digests(&r.digests, &reference.digests) {
-            errors.push(format!("a timed round differs from the reference: {e}"));
+        for ((got, want), p) in r.digests.iter().zip(&reference.digests).zip(&inputs.points) {
+            match (got, want) {
+                (Some(g), Some(w)) if g == w => {}
+                (Some(g), Some(w)) => {
+                    failed += 1;
+                    errors.push(format!(
+                        "{}: a timed round's digest {g:016x} differs from the reference {w:016x}",
+                        p.label
+                    ));
+                }
+                _ => failed += 1,
+            }
         }
     }
     // Every round does the same deterministic work, so rounds differ only
@@ -185,7 +214,7 @@ fn untraced(args: &Args) -> Outcome {
     Outcome {
         errors,
         attempted: points * (rounds.len() as u64 + 2),
-        failed: 0,
+        failed,
         metrics,
     }
 }
@@ -229,16 +258,21 @@ fn single_point_grid(p: &SimPoint) -> SweepGrid {
 
 fn traced(args: &Args) -> Outcome {
     let tracer = Tracer::new();
-    let mut errors = Vec::new();
-    let (mut attempted, mut failed) = (0u64, 0u64);
-    let mut metrics = Metrics::new();
+    let mut out = Outcome {
+        errors: Vec::new(),
+        attempted: 0,
+        failed: 0,
+        metrics: Metrics::new(),
+    };
     let secs = |d: Duration| d.as_secs_f64();
 
     let ((inputs, setups), _) = tracer.span("setup", || setup_reps(args.kind, args.seed, 1));
     let st = setups[0];
-    metrics.insert("data.generate_s", (secs(st.data), "s"));
-    metrics.insert("topology.build_s", (secs(st.topology), "s"));
-    metrics.insert("experiment.validate_s", (secs(st.validate), "s"));
+    out.metrics.insert("data.generate_s", (secs(st.data), "s"));
+    out.metrics
+        .insert("topology.build_s", (secs(st.topology), "s"));
+    out.metrics
+        .insert("experiment.validate_s", (secs(st.validate), "s"));
 
     // Untraced: every simulator point one at a time, then through the
     // sweep runner.
@@ -247,14 +281,12 @@ fn traced(args: &Args) -> Outcome {
     let mut events = 0u64;
     for p in &inputs.points {
         let (report, d) = tracer.span("sim.untraced", || {
-            p.exp
-                .run(inputs.model.as_ref(), &inputs.dataset)
-                .expect("validated in set-up")
+            p.exp.run(inputs.model.as_ref(), &inputs.dataset)
         });
-        attempted += 1;
         serial.push(secs(d));
-        digests.push(report.digest());
-        events += report.events_processed;
+        let report = out.op(&p.label, report);
+        events += report.as_ref().map_or(0, |r| r.events_processed);
+        digests.push(report.map(|r| r.digest()));
     }
     let serial_s: f64 = serial.iter().sum();
     let grid = match &inputs.grid {
@@ -263,21 +295,20 @@ fn traced(args: &Args) -> Outcome {
     };
     let runner = SweepRunner::new(THREADS);
     let (results, sweep_wall) = tracer.span("sweep", || {
-        runner
-            .run(&grid, inputs.model.as_ref(), &inputs.dataset)
-            .expect("validated in set-up")
+        runner.run(&grid, inputs.model.as_ref(), &inputs.dataset)
     });
-    attempted += results.len() as u64;
-    let sweep_digests: Vec<u64> = results.iter().map(|r| r.digest()).collect();
-    if let Err(e) = checks::check_digests(&sweep_digests, &digests) {
-        errors.push(e);
+    if let Some(results) = out.op("sweep", results) {
+        let sweep_digests: Vec<Option<u64>> = results.iter().map(|r| Some(r.digest())).collect();
+        if let Err(e) = checks::check_digests(&sweep_digests, &digests) {
+            out.errors.push(format!("sweep: {e}"));
+        }
     }
-    metrics.insert("sweep.points_serial_s", (serial_s, "s"));
-    metrics.insert(
+    out.metrics.insert("sweep.points_serial_s", (serial_s, "s"));
+    out.metrics.insert(
         "sweep.point_max_s",
         (serial.iter().copied().fold(0.0, f64::max), "s"),
     );
-    metrics.insert(
+    out.metrics.insert(
         "sweep.parallel_efficiency",
         (
             serial_s / (runner.effective_threads(grid.len()) as f64 * secs(sweep_wall)),
@@ -285,59 +316,95 @@ fn traced(args: &Args) -> Outcome {
         ),
     );
 
-    // Traced: the same points with the counting model and conformance
-    // recording, on this thread so model spans nest in the run span.
-    let counting = Arc::new(CountingModel::new(inputs.model.clone(), tracer.clone()));
-    let mut choreo = Choreo::default();
-    let mut traced_s = 0.0;
-    for (p, &digest) in inputs.points.iter().zip(&digests) {
-        let (report, d) = tracer.span("sim.run", || {
-            p.exp
-                .run_conformance(counting.as_ref(), &inputs.dataset)
-                .expect("validated in set-up")
+    // Counted: the same points with the counting model and nothing
+    // recorded, so a run's wall time minus its model time is the engine's
+    // own (event pump, protocol handlers, codecs and reduces), with only
+    // two clock reads per model call added.
+    let counting = Arc::new(CountingModel::new(inputs.model.clone(), None));
+    let mut counted_s = 0.0;
+    for (p, digest) in inputs.points.iter().zip(&digests) {
+        let (report, d) = tracer.span("sim.counted", || {
+            p.exp.run(counting.as_ref(), &inputs.dataset)
         });
-        attempted += 1;
-        traced_s += secs(d);
-        if report.digest() != digest {
-            errors.push(format!("{}: traced run differs from untraced", p.label));
+        counted_s += secs(d);
+        if let Some(report) = out.op(&p.label, report) {
+            if Some(report.digest()) != *digest {
+                out.errors
+                    .push(format!("{}: counted run differs from untraced", p.label));
+            }
         }
-        choreo.add(report.conformance.as_ref().expect("recorded"));
     }
     let c = &counting.counters;
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    metrics.insert("model.grad_calls", (load(&c.grad_calls) as f64, "count"));
-    metrics.insert("model.grad_s", (load(&c.grad_ns) as f64 / 1e9, "s"));
-    metrics.insert("model.eval_calls", (load(&c.eval_calls) as f64, "count"));
-    metrics.insert("model.eval_s", (load(&c.eval_ns) as f64 / 1e9, "s"));
-    // The run spans' self time: engine and protocol handlers with the
-    // model's time taken out, from the counters, which also cover the
-    // per-call spans beyond the stored cap.
-    let model_s = (load(&c.grad_ns) + load(&c.eval_ns)) as f64 / 1e9;
-    metrics.insert("engine.self_s", ((traced_s - model_s).max(0.0), "s"));
-    metrics.insert("engine.events", (events as f64, "count"));
-    metrics.insert("engine.events_per_s", (events as f64 / serial_s, "1/s"));
-    metrics.insert(
+    out.metrics
+        .insert("model.grad_calls", (load(&c.grad_calls) as f64, "count"));
+    out.metrics
+        .insert("model.grad_s", (load(&c.grad_ns) as f64 / 1e9, "s"));
+    out.metrics
+        .insert("model.eval_calls", (load(&c.eval_calls) as f64, "count"));
+    out.metrics
+        .insert("model.eval_s", (load(&c.eval_ns) as f64 / 1e9, "s"));
+    let engine_s = counted_s - c.model_s();
+    out.metrics.insert("engine.self_s", (engine_s, "s"));
+    out.metrics
+        .insert("engine.events", (events as f64, "count"));
+    out.metrics
+        .insert("engine.events_per_s", (events as f64 / engine_s, "1/s"));
+
+    // Traced: the same points with a span per model call and conformance
+    // recording, on this thread so model spans nest in the run span.
+    let spanned = Arc::new(CountingModel::new(
+        inputs.model.clone(),
+        Some(tracer.clone()),
+    ));
+    let mut choreo = Choreo::default();
+    let mut traced_s = 0.0;
+    for (p, digest) in inputs.points.iter().zip(&digests) {
+        let (report, d) = tracer.span("sim.traced", || {
+            p.exp.run_conformance(spanned.as_ref(), &inputs.dataset)
+        });
+        traced_s += secs(d);
+        let Some(report) = out.op(&p.label, report) else {
+            continue;
+        };
+        if Some(report.digest()) != *digest {
+            out.errors
+                .push(format!("{}: traced run differs from untraced", p.label));
+        }
+        choreo.add(report.conformance.as_ref().expect("recorded"));
+    }
+    out.metrics.insert(
         "trace.overhead_pct",
         ((traced_s - serial_s) / serial_s * 100.0, "%"),
     );
 
     // The threaded and process runtimes, on a probe config of their own.
     let (figures, _) = tracer.span("runtimes", || {
-        runtimes::Probe::new(args.seed, PROBE_ITERS).run(&mut errors)
+        runtimes::Probe::new(args.seed, PROBE_ITERS).run(&mut out.errors)
     });
-    attempted += figures.attempted;
-    failed += figures.failed;
-    metrics.insert("threaded.wall_s", (secs(figures.threaded_wall), "s"));
-    metrics.insert("threaded.cpu_s", (secs(figures.threaded_cpu), "s"));
-    metrics.insert("process.wall_s", (secs(figures.process_wall), "s"));
-    metrics.insert("process.cpu_s", (secs(figures.process_cpu), "s"));
-    metrics.insert("process.fleet_fixed_s", (secs(figures.fleet_fixed), "s"));
+    out.attempted += figures.attempted;
+    out.failed += figures.failed;
+    out.metrics
+        .insert("threaded.wall_s", (secs(figures.threaded_wall), "s"));
+    out.metrics
+        .insert("threaded.cpu_s", (secs(figures.threaded_cpu), "s"));
+    out.metrics
+        .insert("process.wall_s", (secs(figures.process_wall), "s"));
+    out.metrics
+        .insert("process.cpu_s", (secs(figures.process_cpu), "s"));
+    out.metrics
+        .insert("process.fleet_fixed_s", (secs(figures.fleet_fixed), "s"));
 
-    metrics.insert("choreo.sends", (choreo.sends as f64, "count"));
-    metrics.insert("choreo.consumes", (choreo.consumes as f64, "count"));
-    metrics.insert("choreo.reduces", (choreo.reduces as f64, "count"));
-    metrics.insert("choreo.token_takes", (choreo.token_takes as f64, "count"));
-    metrics.insert("choreo.jumps", (choreo.jumps as f64, "count"));
+    out.metrics
+        .insert("choreo.sends", (choreo.sends as f64, "count"));
+    out.metrics
+        .insert("choreo.consumes", (choreo.consumes as f64, "count"));
+    out.metrics
+        .insert("choreo.reduces", (choreo.reduces as f64, "count"));
+    out.metrics
+        .insert("choreo.token_takes", (choreo.token_takes as f64, "count"));
+    out.metrics
+        .insert("choreo.jumps", (choreo.jumps as f64, "count"));
 
     // Isolated layer calls at the workload's shapes.
     let p0 = &inputs.points[0];
@@ -353,7 +420,7 @@ fn traced(args: &Args) -> Outcome {
         .model
         .init_params(&mut Xoshiro256::seed_from_u64(args.seed));
     let (layer_metrics, _) = tracer.span("layers", || layer_figures(&shapes, &block, args.seed));
-    metrics.extend(layer_metrics);
+    out.metrics.extend(layer_metrics);
 
     let self_times = trace::self_times(&tracer.spans());
     let path = std::path::PathBuf::from(format!(
@@ -368,15 +435,10 @@ fn traced(args: &Args) -> Outcome {
             tracer.spans().len(),
             tracer.dropped()
         ),
-        Err(e) => errors.push(format!("writing {}: {e}", path.display())),
+        Err(e) => out.errors.push(format!("writing {}: {e}", path.display())),
     }
-    print_layer_table(&metrics, &self_times);
-    Outcome {
-        errors,
-        attempted,
-        failed,
-        metrics,
-    }
+    print_layer_table(&out.metrics, &self_times);
+    out
 }
 
 fn layer_figures(s: &layers::Shapes, block: &[f32], seed: u64) -> Metrics {

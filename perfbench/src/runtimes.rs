@@ -87,7 +87,9 @@ impl Probe {
     }
 
     /// Runs the simulator reference, then the threaded and process runs
-    /// (each timed), checking both against the reference.
+    /// (each timed), checking both against the reference. A run that
+    /// fails is counted and its error kept, so its skipped parity check
+    /// makes the run incorrect.
     pub fn run(&self, errors: &mut Vec<String>) -> Figures {
         let sim = self
             .sim
@@ -104,7 +106,7 @@ impl Probe {
             ),
             Err(e) => {
                 failed += 1;
-                eprintln!("threaded run failed: {e}");
+                errors.push(format!("threaded run failed: {e}"));
             }
         }
         let (c0, t0) = (host::cpu_time(), Instant::now());
@@ -130,7 +132,7 @@ impl Probe {
             }
             Err(e) => {
                 failed += 1;
-                eprintln!("process run failed: {e}");
+                errors.push(format!("process run failed: {e}"));
             }
         }
         let mut one = self.process.clone();
@@ -138,7 +140,7 @@ impl Probe {
         let t0 = Instant::now();
         if let Err(e) = one.run() {
             failed += 1;
-            eprintln!("one-iteration process run failed: {e}");
+            errors.push(format!("one-iteration process run failed: {e}"));
         }
         Figures {
             threaded_wall,

@@ -169,16 +169,24 @@ pub struct ModelCounters {
     pub eval_ns: AtomicU64,
 }
 
+impl ModelCounters {
+    /// Seconds spent in gradient and loss calls together.
+    pub fn model_s(&self) -> f64 {
+        (self.grad_ns.load(Ordering::Relaxed) + self.eval_ns.load(Ordering::Relaxed)) as f64 / 1e9
+    }
+}
+
 /// A [`Model`] that forwards to the workload's model and counts and
-/// times every gradient and loss call, recording a span for each.
+/// times every gradient and loss call, recording a span for each when it
+/// has a tracer.
 pub struct CountingModel {
     inner: Arc<dyn Model>,
-    tracer: Arc<Tracer>,
+    tracer: Option<Arc<Tracer>>,
     pub counters: ModelCounters,
 }
 
 impl CountingModel {
-    pub fn new(inner: Arc<dyn Model>, tracer: Arc<Tracer>) -> Self {
+    pub fn new(inner: Arc<dyn Model>, tracer: Option<Arc<Tracer>>) -> Self {
         Self {
             inner,
             tracer,
@@ -206,7 +214,9 @@ impl Model for CountingModel {
         let start = Instant::now();
         let loss = self.inner.loss_grad_with(params, batch, grad, scratch);
         let dur = start.elapsed();
-        self.tracer.record_call("model.grad", start, dur);
+        if let Some(t) = &self.tracer {
+            t.record_call("model.grad", start, dur);
+        }
         self.counters.grad_calls.fetch_add(1, Ordering::Relaxed);
         self.counters
             .grad_ns
@@ -218,7 +228,9 @@ impl Model for CountingModel {
         let start = Instant::now();
         let loss = self.inner.loss(params, batch);
         let dur = start.elapsed();
-        self.tracer.record_call("model.eval", start, dur);
+        if let Some(t) = &self.tracer {
+            t.record_call("model.eval", start, dur);
+        }
         self.counters.eval_calls.fetch_add(1, Ordering::Relaxed);
         self.counters
             .eval_ns

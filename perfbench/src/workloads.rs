@@ -3,7 +3,9 @@
 
 use crate::checks;
 use hop_core::sweep::{SweepGrid, SweepPoint, SweepRunner};
-use hop_core::{CompressionConfig, HopConfig, Hyper, Protocol, SimExperiment, SkipConfig};
+use hop_core::{
+    CompressionConfig, HopConfig, Hyper, Protocol, SimExperiment, SkipConfig, TrainingReport,
+};
 use hop_data::images::SyntheticImages;
 use hop_data::webspam::{SyntheticWebspam, WebspamConfig};
 use hop_data::InMemoryDataset;
@@ -259,14 +261,17 @@ pub struct Round {
     pub worker_iters: u64,
     pub wall: Duration,
     pub cpu: Duration,
-    /// Report digest of each point, to be compared with the reference.
-    pub digests: Vec<u64>,
+    /// Report digest of each point, to be compared with the reference;
+    /// `None` where the run failed, deadlocked or broke the gap bound.
+    pub digests: Vec<Option<u64>>,
 }
 
 /// What the reference pass established for the timed rounds to be
 /// checked against, plus the workload's deterministic end-to-end metrics.
 pub struct Reference {
-    pub digests: Vec<u64>,
+    /// Report digest of each point; `None` where the run failed or one of
+    /// its checks did.
+    pub digests: Vec<Option<u64>>,
     pub wire_bytes_per_iter: f64,
     pub virtual_s_to_target: f64,
 }
@@ -283,13 +288,19 @@ pub fn reference(inputs: &Inputs, model: &dyn Model, errors: &mut Vec<String>) -
     let mut bytes = 0u64;
     let mut iters = 0u64;
     for p in &inputs.points {
-        let report = p
-            .exp
-            .run_conformance(model, &inputs.dataset)
-            .expect("points were validated in set-up");
+        let mut ok = true;
         let mut fail = |what: &str, res: Result<(), String>| {
             if let Err(e) = res {
+                ok = false;
                 errors.push(format!("{} {}: {what}: {e}", inputs.kind.name(), p.label));
+            }
+        };
+        let report = match p.exp.run_conformance(model, &inputs.dataset) {
+            Ok(report) => report,
+            Err(e) => {
+                fail("run", Err(e.to_string()));
+                r.digests.push(None);
+                continue;
             }
         };
         if report.deadlocked {
@@ -340,7 +351,7 @@ pub fn reference(inputs: &Inputs, model: &dyn Model, errors: &mut Vec<String>) -
         );
         bytes += report.bytes_sent;
         iters += p.worker_iters();
-        r.digests.push(report.digest());
+        r.digests.push(ok.then(|| report.digest()));
     }
     r.wire_bytes_per_iter = bytes as f64 / iters as f64;
     r
@@ -374,31 +385,44 @@ fn check_codecs(params: &[f32]) -> Result<(), String> {
 }
 
 /// One timed round: the workload's runs, timed in wall and CPU time, with
-/// the neighbour-gap check made outside the timing.
+/// the deadlock and neighbour-gap checks made outside the timing.
 pub fn round(inputs: &Inputs, errors: &mut Vec<String>) -> Round {
     let (cpu0, t0) = (crate::host::cpu_time(), Instant::now());
-    let reports = match &inputs.grid {
-        Some(grid) => SweepRunner::new(THREADS)
-            .run(grid, inputs.model.as_ref(), &inputs.dataset)
-            .expect("grid was validated in set-up")
-            .into_iter()
-            .map(|r| r.report)
-            .collect(),
+    let reports: Vec<Result<TrainingReport, String>> = match &inputs.grid {
+        Some(grid) => {
+            match SweepRunner::new(THREADS).run(grid, inputs.model.as_ref(), &inputs.dataset) {
+                Ok(results) => results.into_iter().map(|r| Ok(r.report)).collect(),
+                Err(e) => inputs.points.iter().map(|_| Err(e.to_string())).collect(),
+            }
+        }
         None => vec![inputs.points[0]
             .exp
             .run(inputs.model.as_ref(), &inputs.dataset)
-            .expect("validated in set-up")],
+            .map_err(|e| e.to_string())],
     };
     let (wall, cpu) = (t0.elapsed(), crate::host::cpu_time() - cpu0);
-    for (p, report) in inputs.points.iter().zip(&reports) {
-        if let Err(e) = checks::check_gaps(&p.exp.topology, report.trace.records(), p.max_ig) {
-            errors.push(format!("{} {}: gap: {e}", inputs.kind.name(), p.label));
-        }
-    }
+    let digests = inputs
+        .points
+        .iter()
+        .zip(reports)
+        .map(|(p, report)| {
+            let checked = report.and_then(|report| {
+                if report.deadlocked {
+                    return Err("deadlocked".to_string());
+                }
+                checks::check_gaps(&p.exp.topology, report.trace.records(), p.max_ig)
+                    .map_err(|e| format!("gap: {e}"))?;
+                Ok(report.digest())
+            });
+            checked
+                .map_err(|e| errors.push(format!("{} {}: {e}", inputs.kind.name(), p.label)))
+                .ok()
+        })
+        .collect();
     Round {
         worker_iters: inputs.points.iter().map(SimPoint::worker_iters).sum(),
         wall,
         cpu,
-        digests: reports.iter().map(|r| r.digest()).collect(),
+        digests,
     }
 }
